@@ -29,6 +29,13 @@ honest per-host throughput lives in the recorded baseline), and
 ``engine_equivalence`` pins the calendar-queue backend byte-identical
 to the default heapq backend.
 
+A fourth leg benchmarks the ``repro.cpu`` trace simulators into
+``BENCH_microarch.json``: the four Figure 1 evaluators over every
+``cpu.traces`` profile at a short fixed trace length.  Their mono/micro
+geomean speedups are checked exactly, and the measured trace records per
+second (trace generation included) must clear a loose
+``min_records_per_sec`` floor.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_smoke.py --check
@@ -54,6 +61,8 @@ from repro.workloads.deathstar import social_network_app  # noqa: E402
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_faults.json"
 HYBRID_BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_hybrid.json"
 ENGINE_BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_engine.json"
+MICROARCH_BASELINE_PATH = \
+    Path(__file__).resolve().parent / "BENCH_microarch.json"
 
 #: Fixed mid-load point: reduced-scale uManycore at ~60% of saturation.
 CONFIG = replace(UMANYCORE, n_cores=128, n_clusters=8)
@@ -70,6 +79,14 @@ HYBRID_DURATION_S = 0.15
 #: profiled at (~75K RPS on the reduced-scale config above).
 ENGINE_RPS = 75_000.0
 ENGINE_DURATION_S = 0.008
+
+#: Microarch leg: Figure 1 at a short fixed trace length.  At this length
+#: the D-prefetcher and I-cache geomeans are exactly 1.0 (the warm-up
+#: pass leaves the measured pass all hits); tests/test_microarch.py pins
+#: those paths against numpy oracles instead.
+MICROARCH_ACCESSES = 6_000
+MICROARCH_BRANCHES = 3_000
+MICROARCH_SEED = 1
 
 
 def _schedule() -> FaultSchedule:
@@ -359,6 +376,30 @@ def engine_equivalence() -> list:
     return failures
 
 
+def measure_microarch() -> dict:
+    """Best-of-N wall for the Figure 1 evaluators; the geomeans are
+    identical across repeats."""
+    from repro.cpu.traces import MICRO_PROFILES, MONO_PROFILES
+    from repro.experiments.fig01_microarch import run
+
+    records = len(MONO_PROFILES + MICRO_PROFILES) \
+        * (3 * MICROARCH_ACCESSES + MICROARCH_BRANCHES)
+    walls = []
+    geomeans = None
+    for __ in range(REPEATS):
+        t0 = time.perf_counter()
+        geomeans = run(n_accesses=MICROARCH_ACCESSES,
+                       n_branches=MICROARCH_BRANCHES, seed=MICROARCH_SEED)
+        walls.append(time.perf_counter() - t0)
+    wall = min(walls)
+    return {
+        "wall_s": round(wall, 4),
+        "records": records,
+        "records_per_sec": int(records / wall),
+        "geomeans": geomeans,
+    }
+
+
 def main() -> int:
     """Entry point; returns the process exit code."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -378,6 +419,8 @@ def main() -> int:
     print("hybrid:", json.dumps(hybrid, indent=2))
     engine = measure_engine()
     print("engine:", json.dumps(engine, indent=2))
+    microarch = measure_microarch()
+    print("microarch:", json.dumps(microarch, indent=2))
 
     if args.update_baseline:
         doc = {
@@ -424,6 +467,28 @@ def main() -> int:
         }
         ENGINE_BASELINE_PATH.write_text(json.dumps(edoc, indent=2) + "\n")
         print(f"engine baseline written to {ENGINE_BASELINE_PATH}")
+        mdoc = {
+            "schema": 1,
+            "bench": "microarch_fig1_smoke",
+            "workload": {"evaluators": "fig01_microarch.run",
+                         "n_accesses": MICROARCH_ACCESSES,
+                         "n_branches": MICROARCH_BRANCHES,
+                         "seed": MICROARCH_SEED, "repeats": REPEATS},
+            "baseline": microarch,
+            # Same a-third-of-baseline floor as the engine leg.
+            "gate": {"min_records_per_sec":
+                     microarch["records_per_sec"] // 3},
+            "reference": {
+                "numpy_loops_records_per_sec": 119_215,
+                "list_loops_records_per_sec": 194_907,
+                "note": "median of three alternating best-of-3 runs of "
+                        "this leg with the earlier numpy-scalar replay "
+                        "loops and with the list-based ones, on the "
+                        "baseline host (see docs/PERFORMANCE.md)",
+            },
+        }
+        MICROARCH_BASELINE_PATH.write_text(json.dumps(mdoc, indent=2) + "\n")
+        print(f"microarch baseline written to {MICROARCH_BASELINE_PATH}")
         return 0
 
     doc = json.loads(BASELINE_PATH.read_text())
@@ -469,6 +534,20 @@ def main() -> int:
         if engine[key] != ebase[key]:
             failures.append(f"deterministic engine output drifted: {key} "
                             f"{engine[key]} != baseline {ebase[key]}")
+    mdoc = json.loads(MICROARCH_BASELINE_PATH.read_text())
+    mbase = mdoc["baseline"]
+    mfloor = mdoc["gate"]["min_records_per_sec"]
+    if microarch["records_per_sec"] < mfloor:
+        failures.append(
+            f"microarch throughput collapsed: "
+            f"{microarch['records_per_sec']} records/s < {mfloor} "
+            f"records/s floor (baseline host: "
+            f"{mbase['records_per_sec']} records/s)")
+    for key in ("records", "geomeans"):
+        if microarch[key] != mbase[key]:
+            failures.append(f"deterministic microarch output drifted: "
+                            f"{key} {microarch[key]} != baseline "
+                            f"{mbase[key]}")
     if failures:
         print("PERF SMOKE FAILED")
         for f in failures:
@@ -477,7 +556,9 @@ def main() -> int:
     print(f"perf smoke OK (overhead {measured['overhead_ratio']:.3f}x, "
           f"limit {limit:.3f}x; hybrid {hybrid['speedup']:.2f}x, "
           f"floor {min_speedup:.1f}x; engine "
-          f"{engine['events_per_sec']} ev/s, floor {floor} ev/s)")
+          f"{engine['events_per_sec']} ev/s, floor {floor} ev/s; "
+          f"microarch {microarch['records_per_sec']} records/s, "
+          f"floor {mfloor} records/s)")
     return 0
 
 

@@ -86,36 +86,36 @@ class SetAssociativeCache:
         # set index -> OrderedDict[line_addr, was_prefetched]; last = MRU
         self._sets = [OrderedDict() for __ in range(self.n_sets)]
 
-    def _locate(self, addr: int):
-        line = addr // self.line_size
-        return line, self._sets[line % self.n_sets]
-
     def access(self, addr: int) -> bool:
         """Demand access; returns hit/miss and fills on miss."""
-        line, cset = self._locate(addr)
-        self.stats.accesses += 1
-        if line in cset:
-            if cset[line]:  # first demand hit on a prefetched line
-                self.stats.useful_prefetches += 1
-                cset[line] = False
-            cset.move_to_end(line)
-            self.stats.hits += 1
-            return True
-        self._fill(line, cset, prefetched=False)
-        return False
+        line = addr // self.line_size
+        cset = self._sets[line % self.n_sets]
+        stats = self.stats
+        stats.accesses += 1
+        prefetched = cset.get(line)
+        if prefetched is None:
+            self._fill(line, cset, False)
+            return False
+        if prefetched:  # first demand hit on a prefetched line
+            stats.useful_prefetches += 1
+            cset[line] = False
+        cset.move_to_end(line)
+        stats.hits += 1
+        return True
 
     def prefetch(self, addr: int) -> bool:
         """Fill a line speculatively; returns False if already present."""
-        line, cset = self._locate(addr)
+        line = addr // self.line_size
+        cset = self._sets[line % self.n_sets]
         if line in cset:
             return False
         self.stats.prefetches += 1
-        self._fill(line, cset, prefetched=True)
+        self._fill(line, cset, True)
         return True
 
     def contains(self, addr: int) -> bool:
-        line, cset = self._locate(addr)
-        return line in cset
+        line = addr // self.line_size
+        return line in self._sets[line % self.n_sets]
 
     def _fill(self, line: int, cset: OrderedDict, prefetched: bool) -> None:
         if len(cset) >= self.assoc:

@@ -9,7 +9,9 @@ from the short, biased branches of microservice handlers.
 
 from __future__ import annotations
 
-import numpy as np
+from operator import add, mul, sub
+
+from repro.cpu.traces import as_records
 
 
 class GSharePredictor:
@@ -18,57 +20,64 @@ class GSharePredictor:
     def __init__(self, table_bits: int = 12, history_len: int = 8):
         self.table_bits = table_bits
         self.history_len = history_len
-        self._table = np.full(1 << table_bits, 2, dtype=np.int8)  # weakly taken
+        self._table = [2] * (1 << table_bits)  # weakly taken
+        self._index_mask = (1 << table_bits) - 1
         self._history = 0
         self._hist_mask = (1 << history_len) - 1
 
-    def _index(self, pc: int) -> int:
-        return (pc ^ self._history) & ((1 << self.table_bits) - 1)
-
     def predict(self, pc: int) -> bool:
-        return self._table[self._index(pc)] >= 2
+        return self._table[(pc ^ self._history) & self._index_mask] >= 2
 
     def update(self, pc: int, taken: bool) -> None:
-        idx = self._index(pc)
+        table = self._table
+        idx = (pc ^ self._history) & self._index_mask
         if taken:
-            self._table[idx] = min(3, self._table[idx] + 1)
-        else:
-            self._table[idx] = max(0, self._table[idx] - 1)
+            if table[idx] < 3:
+                table[idx] += 1
+        elif table[idx] > 0:
+            table[idx] -= 1
         self._history = ((self._history << 1) | int(taken)) & self._hist_mask
 
 
 class PerceptronPredictor:
-    """Per-PC perceptron over the global history register."""
+    """Per-PC perceptron over the global history register.
+
+    Weights and the +-1 history are lists of Python ints, so the dot
+    product is exact.
+    """
 
     def __init__(self, n_perceptrons: int = 512, history_len: int = 24):
         self.history_len = history_len
         self.n = n_perceptrons
-        self._w = np.zeros((n_perceptrons, history_len + 1), dtype=np.int32)
-        self._hist = np.ones(history_len, dtype=np.int32)  # +-1 encoding
-        self.theta = int(1.93 * history_len + 14)           # training threshold
-
-    def _row(self, pc: int) -> int:
-        return pc % self.n
+        self._bias = [0] * n_perceptrons
+        self._w = [[0] * history_len for __ in range(n_perceptrons)]
+        self._hist = [1] * history_len                  # most recent first
+        self.theta = int(1.93 * history_len + 14)      # training threshold
 
     def _output(self, pc: int) -> int:
-        w = self._w[self._row(pc)]
-        return int(w[0] + (w[1:] * self._hist).sum())
+        row = pc % self.n
+        return self._bias[row] + sum(map(mul, self._w[row], self._hist))
 
     def predict(self, pc: int) -> bool:
         return self._output(pc) >= 0
 
     def update(self, pc: int, taken: bool) -> None:
         y = self._output(pc)
-        t = 1 if taken else -1
+        hist = self._hist
         if (y >= 0) != taken or abs(y) <= self.theta:
-            row = self._w[self._row(pc)]
-            row[0] += t
-            row[1:] += t * self._hist
-        self._hist[1:] = self._hist[:-1]
-        self._hist[0] = t
+            row = pc % self.n
+            w = self._w
+            if taken:
+                self._bias[row] += 1
+                w[row] = list(map(add, w[row], hist))
+            else:
+                self._bias[row] -= 1
+                w[row] = list(map(sub, w[row], hist))
+        hist.pop()
+        hist.insert(0, 1 if taken else -1)
 
 
-def measure_accuracy(predictor, pcs: np.ndarray, taken: np.ndarray,
+def measure_accuracy(predictor, pcs, taken,
                      warmup_fraction: float = 0.1) -> float:
     """Fraction of branches predicted correctly after a warm-up prefix.
 
@@ -80,9 +89,8 @@ def measure_accuracy(predictor, pcs: np.ndarray, taken: np.ndarray,
     correct = 0
     predict = predictor.predict
     update = predictor.update
-    for i, (pc, t) in enumerate(zip(pcs, taken)):
-        pc = int(pc)
-        t = bool(t)
+    for i, (pc, t) in enumerate(zip(as_records(pcs),
+                                    map(bool, as_records(taken)))):
         if predict(pc) == t and i >= warmup:
             correct += 1
         update(pc, t)

@@ -20,8 +20,8 @@ from repro.cpu.microarch.branch import measure_accuracy
 from repro.cpu.microarch.iprefetch import run_instruction_prefetch
 from repro.cpu.microarch.prefetch import run_data_prefetch
 from repro.cpu.microarch.replacement import RipplePolicy, profile_transient_lines
-from repro.cpu.traces import TraceProfile, branch_trace, data_address_trace, \
-    instruction_address_trace
+from repro.cpu.traces import TraceProfile, as_records, branch_trace, \
+    data_address_trace, instruction_address_trace
 
 # Average instructions per data access / per branch, used to convert
 # per-access miss rates into per-kilo-instruction rates.
@@ -73,7 +73,7 @@ def evaluate_data_prefetcher(profile: TraceProfile, prefetcher_factory,
                              rng: np.random.Generator,
                              n_accesses: int = 120_000) -> OptimizationResult:
     """Data-prefetcher speedup: replay the data stream through an LLC proxy."""
-    addrs = data_address_trace(profile, n_accesses, rng)
+    addrs = as_records(data_address_trace(profile, n_accesses, rng))
     nominal = _nominal_rates(profile)
     instructions = n_accesses * INSTR_PER_DATA_ACCESS
     core = _core_model()
@@ -104,7 +104,7 @@ def evaluate_branch_predictor(profile: TraceProfile, baseline_factory,
                               optimized_factory, rng: np.random.Generator,
                               n_branches: int = 60_000) -> OptimizationResult:
     """Branch-predictor speedup from measured misprediction rates."""
-    pcs, taken = branch_trace(profile, n_branches, rng)
+    pcs, taken = map(as_records, branch_trace(profile, n_branches, rng))
     acc_base = measure_accuracy(baseline_factory(), pcs, taken)
     acc_opt = measure_accuracy(optimized_factory(), pcs, taken)
     branches_per_ki = 1000.0 / INSTR_PER_BRANCH[profile.kind]
@@ -123,7 +123,7 @@ def evaluate_instruction_prefetcher(profile: TraceProfile, prefetcher_factory,
                                     rng: np.random.Generator,
                                     n_accesses: int = 120_000) -> OptimizationResult:
     """I-prefetcher speedup: L1I misses stall the front end for L2 latency."""
-    addrs = instruction_address_trace(profile, n_accesses, rng)
+    addrs = as_records(instruction_address_trace(profile, n_accesses, rng))
 
     def imiss_mpki(prefetcher) -> float:
         cache = SetAssociativeCache(64 * 1024, 8, name="L1I")
@@ -139,15 +139,16 @@ def evaluate_instruction_prefetcher(profile: TraceProfile, prefetcher_factory,
 def evaluate_icache_replacement(profile: TraceProfile, rng: np.random.Generator,
                                 n_accesses: int = 120_000) -> OptimizationResult:
     """Ripple-like profile-guided I-cache replacement vs LRU."""
-    addrs = instruction_address_trace(profile, n_accesses, rng)
+    addrs = as_records(instruction_address_trace(profile, n_accesses, rng))
     cache_lines = 64 * 1024 // 64
 
     def run(cache) -> float:
+        access = cache.access
         for a in addrs:                 # warm-up pass
-            cache.access(int(a))
+            access(a)
         cache.reset_stats()
         for a in addrs:                 # measured pass
-            cache.access(int(a))
+            access(a)
         return cache.stats.mpki(int(n_accesses * INSTR_PER_IFETCH))
 
     lru_mpki = run(SetAssociativeCache(64 * 1024, 8, name="L1I"))

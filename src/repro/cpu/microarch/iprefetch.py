@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import List
 
-import numpy as np
+from repro.cpu.traces import as_records
 
 LINE = 64
 
@@ -39,6 +39,7 @@ class ISpyPrefetcher:
         self.max_per_context = max_per_context
         self.lookahead = lookahead
         self._recent = deque(maxlen=depth)
+        self._ctx = 0      # _context() of _recent, refreshed on each miss
         # Contexts observed at the last few misses; a new miss is credited
         # to all of them so that, on recurrence, the prefetch runs *ahead*
         # of the miss stream instead of arriving with it.
@@ -52,28 +53,27 @@ class ISpyPrefetcher:
         return h
 
     def observe(self, line_addr: int, hit: bool) -> List[int]:
-        ctx = self._context()
-        out = list(self._table.get(ctx, ()))
+        table = self._table
+        targets = table.get(self._ctx)
+        out = targets[:] if targets else []
         if not hit:
             for past_ctx in self._live_contexts:
-                targets = self._table.setdefault(past_ctx, [])
+                targets = table.setdefault(past_ctx, [])
                 if line_addr not in targets:
                     targets.append(line_addr)
                     if len(targets) > self.max_per_context:
                         targets.pop(0)
             self._recent.append(line_addr)
-            self._live_contexts.append(self._context())
+            self._ctx = self._context()
+            self._live_contexts.append(self._ctx)
         return out
 
 
-def run_instruction_prefetch(cache, prefetcher, addresses: np.ndarray) -> None:
+def run_instruction_prefetch(cache, prefetcher, addresses) -> None:
     """Replay an instruction fetch stream with prefetching enabled."""
     access = cache.access
     fill = cache.prefetch
     observe = prefetcher.observe
-    for addr in addresses:
-        addr = int(addr)
-        line = addr // LINE
-        hit = access(addr)
-        for target in observe(line, hit):
+    for addr in as_records(addresses):
+        for target in observe(addr // LINE, access(addr)):
             fill(target * LINE)

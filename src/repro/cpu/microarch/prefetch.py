@@ -14,6 +14,8 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.cpu.traces import as_records
+
 LINE = 64
 
 
@@ -61,6 +63,10 @@ class PythiaPrefetcher:
     proxy); actions are candidate offsets; reward is +1 when a prefetched
     line is later demanded, -0.2 when it is issued (cost), driving the
     policy toward offsets that pay off for the observed pattern.
+
+    Q-rows are lists of Python floats: the updates are the same IEEE-754
+    double operations a ``float64`` array does, and ``row.index(max(row))``
+    keeps ``np.argmax``'s first-maximum tie rule.
     """
 
     OFFSETS = (1, 2, 3, 4, 8, 16, -1, 0)   # 0 = do not prefetch
@@ -70,43 +76,47 @@ class PythiaPrefetcher:
         self.rng = rng or np.random.default_rng(0)
         self.epsilon = epsilon
         self.alpha = alpha
-        self._q = {}                 # signature -> np.ndarray of Q values
+        self._q = {}                 # signature -> list of Q values
         self._last: Optional[int] = None
         self._pending = {}           # prefetched line -> (signature, action)
         self.issued = 0
         self.rewarded = 0
 
-    def _q_row(self, sig: int) -> np.ndarray:
+    def _q_row(self, sig: int) -> List[float]:
         row = self._q.get(sig)
         if row is None:
-            row = np.zeros(len(self.OFFSETS))
+            row = [0.0] * len(self.OFFSETS)
             self._q[sig] = row
         return row
 
     def observe(self, line_addr: int, hit: bool) -> List[int]:
-        out: List[int] = []
-        if self._last is not None:
-            sig = max(-64, min(64, line_addr - self._last))
-            row = self._q_row(sig)
-            if self.rng.random() < self.epsilon:
-                action = int(self.rng.integers(len(self.OFFSETS)))
-            else:
-                action = int(np.argmax(row))
-            offset = self.OFFSETS[action]
-            # Conservative issue policy: outside exploration, only act on
-            # offsets with learned positive reward — unlearned signatures
-            # stay quiet instead of polluting the cache.
-            if offset != 0 and row[action] <= 0.0 \
-                    and self.rng.random() >= self.epsilon:
-                offset = 0
-            if offset != 0:
-                target = line_addr + offset
-                row[action] += self.alpha * (-0.2 - row[action])  # issue cost
-                self._pending[target] = (sig, action)
-                self.issued += 1
-                out = [target]
+        last = self._last
         self._last = line_addr
-        return out
+        if last is None:
+            return []
+        sig = line_addr - last
+        if sig > 64:
+            sig = 64
+        elif sig < -64:
+            sig = -64
+        row = self._q_row(sig)
+        rng = self.rng
+        epsilon = self.epsilon
+        if rng.random() < epsilon:
+            action = int(rng.integers(len(self.OFFSETS)))
+        else:
+            action = row.index(max(row))
+        offset = self.OFFSETS[action]
+        # Conservative issue policy: outside exploration, only act on
+        # offsets with learned positive reward — unlearned signatures
+        # stay quiet instead of polluting the cache.
+        if offset == 0 or (row[action] <= 0.0 and rng.random() >= epsilon):
+            return []
+        target = line_addr + offset
+        row[action] += self.alpha * (-0.2 - row[action])  # issue cost
+        self._pending[target] = (sig, action)
+        self.issued += 1
+        return [target]
 
     def credit(self, line_addr: int) -> None:
         """Reward the action that prefetched a line now demanded."""
@@ -119,7 +129,7 @@ class PythiaPrefetcher:
         self.rewarded += 1
 
 
-def run_data_prefetch(cache, prefetcher, addresses: np.ndarray) -> None:
+def run_data_prefetch(cache, prefetcher, addresses) -> None:
     """Replay ``addresses`` through ``cache`` with ``prefetcher`` active.
 
     The prefetcher sees every demand access (line granularity) and may
@@ -129,8 +139,7 @@ def run_data_prefetch(cache, prefetcher, addresses: np.ndarray) -> None:
     prefetch = cache.prefetch
     observe = prefetcher.observe
     credit = prefetcher.credit
-    for addr in addresses:
-        addr = int(addr)
+    for addr in as_records(addresses):
         line = addr // LINE
         hit = access(addr)
         if hit:

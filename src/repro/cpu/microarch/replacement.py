@@ -11,16 +11,23 @@ position (evicted first), protecting the lines that do fit.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Set
-
-import numpy as np
+from typing import List, Set
 
 from repro.cpu.cache import InsertionPolicy
+from repro.cpu.traces import as_records
 
 LINE = 64
 
 
-def profile_transient_lines(addresses: np.ndarray, cache_lines: int) -> Set[int]:
+def _median(values: List[int]) -> float:
+    """``np.median`` of a non-empty list: the sorted middle, or the mean of
+    the two middle values (exact for ints below 2**53)."""
+    s = sorted(values)
+    mid = len(s) // 2
+    return s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2
+
+
+def profile_transient_lines(addresses, cache_lines: int) -> Set[int]:
     """Profiling pass: lines whose typical reuse distance exceeds capacity.
 
     Reuse distance is approximated by the number of accesses between
@@ -29,10 +36,11 @@ def profile_transient_lines(addresses: np.ndarray, cache_lines: int) -> Set[int]
     (scaled: gaps count accesses, and unique-line density converts the
     threshold).
     """
+    addresses = as_records(addresses)
     last_seen = {}
     gaps = defaultdict(list)
     for i, addr in enumerate(addresses):
-        line = int(addr) // LINE
+        line = addr // LINE
         prev = last_seen.get(line)
         if prev is not None:
             gaps[line].append(i - prev)
@@ -43,7 +51,7 @@ def profile_transient_lines(addresses: np.ndarray, cache_lines: int) -> Set[int]
     density = len(last_seen) / max(1, len(addresses))
     threshold = cache_lines / max(density, 1e-9)
     for line, line_gaps in gaps.items():
-        if np.median(line_gaps) > threshold:
+        if _median(line_gaps) > threshold:
             transient.add(line)
     # Lines never reused are transient by definition.
     for line in last_seen:

@@ -87,6 +87,16 @@ MICRO_PROFILES = [
 ]
 
 
+def as_records(trace) -> list:
+    """A trace as a list of plain Python ints, for per-record replay loops.
+
+    Iterating an ndarray yields numpy scalars, whose arithmetic costs
+    several times a Python int's; the replay loops convert once up front.
+    A list passes through unchanged.
+    """
+    return trace if isinstance(trace, list) else np.asarray(trace).tolist()
+
+
 def _bounded_zipf_probs(n: int, s: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-s)

@@ -18,7 +18,7 @@ from typing import Dict
 import numpy as np
 
 from repro.cpu.hierarchy import SERVERCLASS_HIERARCHY, CacheHierarchy
-from repro.cpu.traces import MICRO_PROFILES, handler_trace
+from repro.cpu.traces import MICRO_PROFILES, as_records, handler_trace
 from repro.experiments.common import format_table
 
 
@@ -29,7 +29,8 @@ def run(n_accesses: int = 120_000, seed: int = 0) -> Dict[str, Dict[str, float]]
     for profile in MICRO_PROFILES:
         rng = np.random.default_rng(seed)
         h = CacheHierarchy(SERVERCLASS_HIERARCHY)
-        d_addrs, i_addrs = handler_trace(profile, n_accesses, rng)
+        d_addrs, i_addrs = map(as_records,
+                               handler_trace(profile, n_accesses, rng))
         for pass_idx in range(2):           # warm-up, then measured pass
             if pass_idx == 1:
                 for c in (h.l1d, h.l1i, h.l2, h.l3, h.dtlb, h.itlb,
@@ -37,8 +38,8 @@ def run(n_accesses: int = 120_000, seed: int = 0) -> Dict[str, Dict[str, float]]
                     if c is not None:
                         c.reset_stats()
             for d, i in zip(d_addrs, i_addrs):
-                h.access_data(int(d))
-                h.access_instr(int(i))
+                h.access_data(d)
+                h.access_instr(i)
         rates = h.hit_rates()
         for key, bucket in (("L1DTLB", data_rates), ("L2DTLB", data_rates),
                             ("L1D", data_rates), ("L2", data_rates)):

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cpu.coherence import CoherenceConfig, CoherenceModel
 from repro.cpu.core_model import CoreModel
+from repro.sched.queueing import erlang_b
 
 
 class EmpiricalDist:
@@ -95,12 +96,7 @@ class MGkModel:
         rho = self.utilization
         if rho >= 1.0:
             return 1.0
-        a = k * rho  # offered load in Erlangs
-        # Iteratively build the Erlang-B blocking probability, then
-        # convert to Erlang C; numerically stable for large k.
-        b = 1.0
-        for i in range(1, k + 1):
-            b = a * b / (i + a * b)
+        b = erlang_b(k * rho, k)  # offered load k * rho Erlangs
         return b / (1.0 - rho * (1.0 - b))
 
     def mean_wait_ns(self) -> float:

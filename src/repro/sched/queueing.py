@@ -7,7 +7,18 @@ the whole dispatch path (RQ, cores, scheduler) against theory.
 
 from __future__ import annotations
 
-import math
+
+def erlang_b(a: float, k: int) -> float:
+    """Erlang-B blocking probability of ``k`` servers at offered load ``a``
+    Erlangs, by the recursion B(i) = a B(i-1) / (i + a B(i-1)).
+
+    Stable at any ``k``: no ``a**k`` or ``k!`` term, which overflow a float
+    at the paper's 1024-core scale.
+    """
+    b = 1.0
+    for i in range(1, k + 1):
+        b = a * b / (i + a * b)
+    return b
 
 
 def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
@@ -20,9 +31,8 @@ def erlang_c(arrival_rate: float, service_rate: float, servers: int) -> float:
     rho = a / servers
     if rho >= 1.0:
         return 1.0
-    summation = sum(a ** k / math.factorial(k) for k in range(servers))
-    top = a ** servers / math.factorial(servers) / (1.0 - rho)
-    return top / (summation + top)
+    b = erlang_b(a, servers)
+    return b / (1.0 - rho * (1.0 - b))
 
 
 def mmc_mean_wait(arrival_rate: float, service_rate: float,

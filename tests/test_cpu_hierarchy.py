@@ -64,3 +64,33 @@ def test_small_working_set_gets_high_hit_rates():
     rates = h.hit_rates()
     assert rates["L1D"] > 0.90
     assert rates["L1DTLB"] > 0.95
+
+
+def test_hit_rates_pinned_on_fixed_trace():
+    """Figure 9's consumer of the cache model: exact hit rates on a short
+    fixed handler trace (two passes, no reset), pinned as literals."""
+    import numpy as np
+
+    from repro.cpu.traces import MICRO_PROFILES, MONO_PROFILES, handler_trace
+
+    expected = {
+        "serverclass": (MONO_PROFILES[0], 1410752, {
+            "L1D": 0.6385, "L1I": 0.6873333333333334,
+            "L2": 0.503955500618047, "L1DTLB": 0.8556666666666667,
+            "L1ITLB": 0.9888333333333333, "L3": 0.0,
+            "L2DTLB": 0.49364896073903003, "L2ITLB": 0.08955223880597014}),
+        "umanycore": (MICRO_PROFILES[0], 320240, {
+            "L1D": 0.9555, "L1I": 0.952, "L2": 0.1918918918918919,
+            "L1DTLB": 0.99375, "L1ITLB": 0.9986666666666667}),
+    }
+    for config in (SERVERCLASS_HIERARCHY, UMANYCORE_HIERARCHY):
+        profile, cycles, rates = expected[config.name]
+        d_addrs, i_addrs = handler_trace(profile, 6_000,
+                                         np.random.default_rng(7))
+        h = CacheHierarchy(config)
+        total = 0
+        for d, i in list(zip(d_addrs, i_addrs)) * 2:
+            total += h.access_data(int(d))
+            total += h.access_instr(int(i))
+        assert total == cycles
+        assert h.hit_rates() == rates

@@ -1,5 +1,7 @@
 """Tests for dequeue policies (FCFS/SRPT) and the M/M/c reference."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,35 @@ def test_erlang_c_known_values():
         erlang_c(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         erlang_c(0.0, 1.0, 1)
+
+
+def test_erlang_c_matches_closed_form_at_small_k():
+    for a, k in ((0.5, 1), (1.5, 2), (3.2, 4), (7.0, 8), (20.0, 24)):
+        top = a ** k / math.factorial(k) / (1.0 - a / k)
+        closed = top / (sum(a ** i / math.factorial(i) for i in range(k))
+                        + top)
+        assert abs(erlang_c(a, 1.0, k) - closed) < 1e-12
+
+
+def test_erlang_c_finite_at_paper_scale():
+    # 1024 cores: a**k / k! overflows a float; the Erlang-B recursion
+    # does not.
+    for a in (512.0, 900.0, 1000.0):
+        p = erlang_c(a, 1.0, 1024)
+        assert math.isfinite(p) and 0.0 < p < 1.0
+    assert erlang_c(900.0, 1.0, 1024) < erlang_c(1000.0, 1.0, 1024)
+
+
+def test_hybrid_model_shares_erlang_b():
+    from repro.hybrid.model import MGkModel
+    from repro.sched.queueing import erlang_b
+
+    m = MGkModel(rate_rps=9e8, service_ns=1000.0, servers=1024)  # 900 E
+    rho = m.utilization
+    b = erlang_b(1024 * rho, 1024)
+    assert m.erlang_c() == b / (1.0 - rho * (1.0 - b))
+    assert m.erlang_c() == pytest.approx(erlang_c(900.0, 1.0, 1024),
+                                         rel=1e-9)
 
 
 def test_mm1_wait_formula():
