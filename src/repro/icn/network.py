@@ -42,14 +42,12 @@ class NetworkConfig:
 class _Transit:
     """One in-flight message walking a compiled route's link resources.
 
-    Replaces the per-message closure chain (one ``traverse`` closure plus
-    one lambda per hop) with a single object; it *is* the Resource done
-    callback (``done(start, finish)``), so each hop costs one bound-call
-    and one ``acquire``.
+    The object *is* the Resource done callback (``done(start, finish)``),
+    so each hop costs one bound-call and one ``acquire``.
     """
 
-    __slots__ = ("net", "route", "hop_time", "sent_at",
-                 "on_delivered", "on_dropped", "idx")
+    __slots__ = ("net", "route", "hop_time", "on_delivered", "on_dropped",
+                 "idx")
 
     def __init__(self, net: "Network", route: "_Route", hop_time: float,
                  on_delivered: Callable[[], None],
@@ -57,7 +55,6 @@ class _Transit:
         self.net = net
         self.route = route
         self.hop_time = hop_time
-        self.sent_at = net.engine.now
         self.on_delivered = on_delivered
         self.on_dropped = on_dropped
         self.idx = 0
@@ -67,7 +64,7 @@ class _Transit:
         route = self.route
         i = self.idx
         if i >= route.n_hops:
-            net._deliver(self.sent_at, self.on_delivered)
+            net._deliver(self.on_delivered)
             return
         topo = net.topology
         if topo._failed_links:
@@ -83,9 +80,9 @@ class _Transit:
 class _Route:
     """Per-path compiled hop list: link Resources resolved once.
 
-    Holds a strong reference to the (shared, topology-cached) path list
-    it was compiled from, which keeps the ``id(path)`` lookup key in
-    ``Network._routes`` valid for the network's lifetime.
+    Holds a strong reference to the path list it was compiled from.  For
+    the shared, topology-cached healthy paths this keeps the ``id(path)``
+    lookup key in ``Network._routes`` valid for the network's lifetime.
     """
 
     __slots__ = ("path", "links", "pairs", "n_hops")
@@ -119,7 +116,6 @@ class Network:
         self._hop_times: Dict[int, float] = {}
         self.messages_sent = 0
         self.hops_traversed = 0
-        self.total_latency = 0.0
         #: Messages lost to failed links/partitions (blackholes).  The
         #: RPC layer's timeouts are what turns these into retries.
         self.messages_dropped = 0
@@ -143,19 +139,15 @@ class Network:
         ``on_dropped`` fires if given, otherwise nothing does — callers
         with a delivery guarantee wrap sends in a timeout.
 
-        Fault-free sends run a compiled fast path: cached route, cached
-        per-size hop time, and one :class:`_Transit` object instead of a
-        closure chain.  Messages launched while links are failed use the
-        uncompiled path below; either way a mid-flight failure is caught
-        hop-by-hop.  Event order and accounting are byte-identical
-        between the two (pinned by the perf_smoke equivalence gates).
+        Every routed message walks a compiled :class:`_Route` with one
+        :class:`_Transit` object, and each hop checks link liveness
+        before it acquires the link, so a link that fails mid-flight
+        drops the message there.  Fault-free routes are compiled once
+        and cached.  While links are failed the topology hands out a
+        fresh path list per send, so that route is compiled uncached.
         """
         engine = self.engine
         topo = self.topology
-        if topo._failed_links:
-            self._send_degraded(src, dst, size_bytes, on_delivered, rec,
-                                on_dropped)
-            return
         try:
             path = topo.path(src, dst, self.rng)
         except NoPathError:
@@ -190,13 +182,16 @@ class Network:
                 inner()
 
         if not self.config.contention:
-            engine.schedule(hop_time * n_hops, self._deliver, engine.now,
-                            on_delivered)
+            engine.schedule(hop_time * n_hops, self._deliver, on_delivered)
             return
 
-        route = self._routes.get(id(path))
-        if route is None:
-            route = self._routes[id(path)] = _Route(self, path)
+        if topo._failed_links:
+            # Caching by id() would pin every fresh degraded path list.
+            route = _Route(self, path)
+        else:
+            route = self._routes.get(id(path))
+            if route is None:
+                route = self._routes[id(path)] = _Route(self, path)
         _Transit(self, route, hop_time, on_delivered, on_dropped)()
 
     def send_fanout(self, sources, dst: str, size_bytes: int,
@@ -253,60 +248,6 @@ class Network:
         self.messages_sent += sent
         self.hops_traversed += hops
 
-    def _send_degraded(self, src: str, dst: str, size_bytes: int,
-                       on_delivered: Callable[[], None], rec=None,
-                       on_dropped: Optional[Callable[[], None]] = None) -> None:
-        """Uncompiled send used while any link is failed (rare path)."""
-        try:
-            path = self.topology.path(src, dst, self.rng)
-        except NoPathError:
-            self._drop(on_dropped)
-            return
-        self.messages_sent += 1
-        if len(path) < 2:
-            self.engine.schedule(0.0, on_delivered)
-            return
-        check = self.engine.check
-        if check.enabled:
-            check.icn_send(self)
-        sent_at = self.engine.now
-        hop_time = self.config.hop_latency_ns + \
-            self.config.serialization_ns(size_bytes)
-        hops = list(zip(path, path[1:]))
-        self.hops_traversed += len(hops)
-
-        if self.engine.tracer.enabled:
-            inner = on_delivered
-            name = f"{src}->{dst}"
-            n_hops = len(hops)
-
-            def on_delivered() -> None:
-                self.engine.tracer.span(
-                    "icn_hop", name, sent_at, self.engine.now, rec=rec,
-                    track="icn", hops=n_hops, bytes=size_bytes)
-                inner()
-
-        if not self.config.contention:
-            total = hop_time * len(hops)
-            self.engine.schedule(total, self._deliver, sent_at, on_delivered)
-            return
-
-        topo = self.topology
-
-        def traverse(index: int) -> None:
-            if index >= len(hops):
-                self._deliver(sent_at, on_delivered)
-                return
-            u, v = hops[index]
-            if topo.has_failures and not topo.link_alive(u, v):
-                # The link died while the message was queued upstream.
-                self._drop(on_dropped, in_flight=True)
-                return
-            self._link(u, v).acquire(hop_time,
-                                     lambda s, f: traverse(index + 1))
-
-        traverse(0)
-
     def _drop(self, on_dropped: Optional[Callable[[], None]],
               in_flight: bool = False) -> None:
         """Blackhole one message (no route, or a hop died in flight)."""
@@ -317,8 +258,7 @@ class Network:
         if on_dropped is not None:
             self.engine.schedule(0.0, on_dropped)
 
-    def _deliver(self, sent_at: float, on_delivered: Callable[[], None]) -> None:
-        self.total_latency += self.engine.now - sent_at
+    def _deliver(self, on_delivered: Callable[[], None]) -> None:
         check = self.engine.check
         if check.enabled:
             check.icn_deliver(self)
@@ -327,18 +267,6 @@ class Network:
     def queued_messages(self) -> int:
         """Messages currently waiting on busy links (contention gauge)."""
         return sum(res.queue_length for res in self._links.values())
-
-    def transit_time(self, src: str, dst: str, size_bytes: int) -> float:
-        """Contention-free latency of one message (for analytic baselines)."""
-        hops = len(self.topology.path(src, dst, self.rng)) - 1
-        return max(0, hops) * (self.config.hop_latency_ns
-                               + self.config.serialization_ns(size_bytes))
-
-    @property
-    def mean_latency(self) -> float:
-        if self.messages_sent == 0:
-            return 0.0
-        return self.total_latency / self.messages_sent
 
     def busiest_links(self, top: int = 5):
         """(link, jobs_served) of the most-used links — contention hot spots."""

@@ -1,41 +1,19 @@
 """Unit tests for the discrete-event engine.
 
-Every micro-semantics test runs against BOTH queue backends (the
-default C-heapq and the calendar queue): the two must agree on the
-full ``(time, seq)`` total order — same-time FIFO, cancellation,
-clock clamping and event budgets included — because the simulation's
-byte-identity contract rides on it (see docs/PERFORMANCE.md).
+The engine fires events in the full ``(time, seq)`` total order —
+same-time FIFO, cancellation, clock clamping and event budgets
+included — because the simulation's byte-identity contract rides on it
+(see docs/PERFORMANCE.md).
 """
 
 import pytest
 
 from repro.sim import Engine
-from repro.sim.engine import CalendarEngine
-
-BACKENDS = ("heapq", "calendar")
 
 
-@pytest.fixture(params=BACKENDS)
-def eng(request):
-    return Engine(queue=request.param)
-
-
-def test_backend_selection():
-    assert Engine().queue_backend == "heapq"
-    assert Engine(queue="heapq").queue_backend == "heapq"
-    cal = Engine(queue="calendar")
-    assert cal.queue_backend == "calendar"
-    assert isinstance(cal, CalendarEngine)
-    assert isinstance(cal, Engine)
-    with pytest.raises(ValueError):
-        Engine(queue="fibheap")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "calendar")
-    assert Engine().queue_backend == "calendar"
-    # An explicit argument beats the environment.
-    assert Engine(queue="heapq").queue_backend == "heapq"
+@pytest.fixture
+def eng():
+    return Engine()
 
 
 def test_events_fire_in_time_order(eng):
@@ -77,16 +55,6 @@ def test_peek_time_empty_after_all_cancelled(eng):
     ev = eng.schedule(1.0, lambda: None)
     ev.cancel()
     assert eng.peek_time() is None
-
-
-def test_step_skips_cancelled_and_advances_clock(eng):
-    fired = []
-    ev = eng.schedule(1.0, fired.append, "dead")
-    eng.schedule(2.0, fired.append, "live")
-    ev.cancel()
-    assert eng.step() is True
-    assert fired == ["live"] and eng.now == 2.0
-    assert eng.step() is False
 
 
 def test_run_until_stops_clock_at_bound(eng):
@@ -178,25 +146,59 @@ def test_events_processed_counter(eng):
     assert eng.events_processed == 7
 
 
-def test_backends_agree_on_adversarial_schedule():
-    """Cross-check the calendar queue against heapq on a schedule built
-    to stress its mechanics: far-future events (overflow heap), dense
-    same-bucket ties (width retune), reschedules below the cursor, and
-    mid-run cancellations."""
+class _ReferenceQueue:
+    """Brute-force oracle: every firing scans all live entries for the
+    smallest ``(time, seq)``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._entries = []          # [time, seq, fn, args, cancelled]
+
+    def _push(self, time, fn, args):
+        entry = [time, len(self._entries), fn, args, False]
+        self._entries.append(entry)
+        return entry
+
+    def schedule(self, delay, fn, *args):
+        return self._push(self.now + delay, fn, args)
+
+    def schedule_at(self, time, fn, *args):
+        return self._push(time, fn, args)
+
+    @staticmethod
+    def cancel(entry):
+        entry[4] = True
+
+    def run(self):
+        while True:
+            live = [e for e in self._entries if not e[4]]
+            if not live:
+                return
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            entry[4] = True
+            self.now = entry[0]
+            self.events_processed += 1
+            entry[2](*entry[3])
+
+
+def test_fired_order_matches_brute_force_reference():
+    """Drive the engine and a brute-force ``(time, seq)`` reference with
+    the same stress schedule: far-future events, heavy same-time ties,
+    mid-run cancellations and scheduling from inside handlers."""
     import numpy as np
 
-    def drive(backend):
+    def drive(eng, cancel):
         rng = np.random.default_rng(1234)
-        eng = Engine(queue=backend)
         fired = []
         pending = []
 
         def fire(tag):
             fired.append((round(eng.now, 9), tag))
             # Occasionally cancel a pending event and schedule new ones
-            # (some near, some far beyond the calendar window).
+            # (some near, some far in the future).
             if pending and tag % 3 == 0:
-                pending.pop(len(pending) // 2).cancel()
+                cancel(pending.pop(len(pending) // 2))
             if tag < 400:
                 delay = float(rng.choice([0.0, 0.25, 1.0, 900_000.0]))
                 pending.append(eng.schedule(delay, fire, tag + 400))
@@ -207,4 +209,7 @@ def test_backends_agree_on_adversarial_schedule():
         eng.run()
         return fired, eng.now, eng.events_processed
 
-    assert drive("heapq") == drive("calendar")
+    got = drive(Engine(), lambda ev: ev.cancel())
+    want = drive(_ReferenceQueue(), _ReferenceQueue.cancel)
+    assert got == want
+    assert got[2] > 400          # handler-scheduled events fired too
