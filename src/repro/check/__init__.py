@@ -1,12 +1,12 @@
 """repro.check: opt-in invariant sanitizer for the whole simulation stack.
 
-The hook API mirrors the telemetry tracer's zero-overhead pattern: every
-engine carries a :data:`NULL_CHECK` whose hooks are no-ops, and
-instrumentation sites guard with ``if check.enabled:`` so disabled
-checking costs one attribute load + branch.  A live
-:class:`CheckContext` validates per-event invariants (clock
-monotonicity, RQ structure, resource bounds) and balances conservation
-ledgers at drain (requests, ICN messages, resource leaks, span trees).
+:class:`CheckContext` subscribes to the engine's probe slot
+(:mod:`repro.sim.probe`), the same hook vocabulary the span tracer
+uses; with no observer installed every site costs one
+``probe.enabled`` attribute load.  The sanitizer validates per-event
+invariants (clock monotonicity, RQ structure, resource bounds) and
+balances conservation ledgers at drain (requests, ICN messages,
+resource leaks, span trees).
 
 Entry points: pass ``check=CheckContext()`` to
 :class:`repro.systems.cluster.ClusterSimulation` / ``simulate``, use the
@@ -15,20 +15,12 @@ Entry points: pass ``check=CheckContext()`` to
 because it reaches back into the cluster layer).
 """
 
-from repro.check.context import (
-    NULL_CHECK,
-    CheckContext,
-    CheckError,
-    NullCheckContext,
-    Violation,
-)
+from repro.check.context import CheckContext, CheckError, Violation
 from repro.check.spans import check_span_tree
 
 __all__ = [
-    "NULL_CHECK",
     "CheckContext",
     "CheckError",
-    "NullCheckContext",
     "Violation",
     "check_span_tree",
 ]

@@ -86,7 +86,8 @@ class SchedulerDomain:
 
     Charges save/restore costs and, for software schedulers, per-op
     scheduler costs — serialized through the domain's dedicated scheduler
-    core when ``centralized``.
+    core when ``centralized``.  Under a probe each charge reports one
+    ``context_switch`` span, queueing on the scheduler core included.
     """
 
     def __init__(self, engine: Engine, config: ContextSwitchConfig,
@@ -111,34 +112,6 @@ class SchedulerDomain:
         self._op_ns = config.scheduler_op_cycles / freq_ghz
         self._jitter_on = rng is not None and config.jitter_prob > 0
 
-    def _ns(self, cycles: float) -> float:
-        return cycles / self.freq_ghz
-
-    @property
-    def save_ns(self) -> float:
-        return self._save_ns
-
-    @property
-    def restore_ns(self) -> float:
-        return self._restore_ns
-
-    def _traced(self, done: Callable[[], None], op: str,
-                rec) -> Callable[[], None]:
-        """Wrap ``done`` in a ``context_switch`` span (queueing on a
-        centralized scheduler core included); identity when tracing is
-        off."""
-        tracer = self.engine.tracer
-        if not tracer.enabled:
-            return done
-        start = self.engine.now
-
-        def finish() -> None:
-            tracer.span("context_switch", op, start, self.engine.now,
-                        rec=rec, track=self.name or "sched")
-            done()
-
-        return finish
-
     def charge_save(self, done: Callable[[], None], rec=None) -> None:
         """Save process state on a block.
 
@@ -148,8 +121,10 @@ class SchedulerDomain:
         serializes with everything else that core does (Section 4.4).
         """
         self.switches += 1
-        if self.engine.tracer.enabled:
-            done = self._traced(done, "save", rec)
+        probe = self.engine.probe
+        if probe.enabled:
+            done = probe.spanning(self.engine, done, "context_switch",
+                                  "save", rec=rec, track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(self._save_ns, lambda s, f: done())
         else:
@@ -157,8 +132,11 @@ class SchedulerDomain:
 
     def charge_restore(self, done: Callable[[], None], rec=None) -> None:
         """Restore process state on resume (part of Dequeue / dispatch)."""
-        if self.engine.tracer.enabled:
-            done = self._traced(done, "restore", rec)
+        probe = self.engine.probe
+        if probe.enabled:
+            done = probe.spanning(self.engine, done, "context_switch",
+                                  "restore", rec=rec,
+                                  track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(self._restore_ns, lambda s, f: done())
         else:
@@ -180,8 +158,11 @@ class SchedulerDomain:
         if op_ns <= 0:
             done()
             return
-        if self.engine.tracer.enabled:
-            done = self._traced(done, "sched_op", rec)
+        probe = self.engine.probe
+        if probe.enabled:
+            done = probe.spanning(self.engine, done, "context_switch",
+                                  "sched_op", rec=rec,
+                                  track=self.name or "sched")
         if self._sched_core is not None:
             self._sched_core.acquire(op_ns, lambda s, f: done())
         else:

@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional
 
-from repro.check.context import NULL_CHECK
 from repro.core.request import RequestRecord, RequestStatus
+from repro.sim.probe import NULL_PROBE
 
 
 class RequestQueue:
@@ -50,9 +50,9 @@ class RequestQueue:
         # engine) lets the queue stamp when entries become READY and
         # account total RQ residency; None keeps the queue time-free.
         self.clock = clock
-        #: Sanitizer hook, picked up from the clock (the engine carries
-        #: it) so a checked run validates every queue transition.
-        self.check = getattr(clock, "check", NULL_CHECK)
+        #: Observer hook, picked up from the clock (the engine carries
+        #: it) so a probed run sees every queue transition.
+        self.probe = getattr(clock, "probe", NULL_PROBE)
         self.wait_ns_total = 0.0
         self.dequeues = 0
         # Fault epoch: bumped by ``purge`` (village failure wipes the RQ
@@ -63,7 +63,7 @@ class RequestQueue:
     def set_clock(self, clock) -> None:
         """Attach a time source for RQ-wait accounting."""
         self.clock = clock
-        self.check = getattr(clock, "check", NULL_CHECK)
+        self.probe = getattr(clock, "probe", NULL_PROBE)
 
     def _stamp_ready(self, rec: RequestRecord) -> None:
         if self.clock is not None:
@@ -102,8 +102,8 @@ class RequestQueue:
         self._stamp_ready(rec)
         heapq.heappush(self._ready_heap,
                        (self.policy.key(rec), rec.req_id, rec))
-        if self.check.enabled:
-            self.check.rq_admit(self, rec)
+        if self.probe.enabled:
+            self.probe.rq_admit(self, rec)
         return True
 
     def soft_enqueue(self, rec: RequestRecord) -> None:
@@ -124,8 +124,8 @@ class RequestQueue:
         self._stamp_ready(rec)
         heapq.heappush(self._ready_heap,
                        (self.policy.key(rec), rec.req_id, rec))
-        if self.check.enabled:
-            self.check.rq_admit(self, rec, soft=True)
+        if self.probe.enabled:
+            self.probe.rq_admit(self, rec, soft=True)
 
     def dequeue(self, service: Optional[str] = None) -> Optional[RequestRecord]:
         """Highest-priority READY entry matching ``service`` (None = any)."""
@@ -157,8 +157,8 @@ class RequestQueue:
     def _dequeued(self, rec: RequestRecord) -> RequestRecord:
         rec.status = RequestStatus.RUNNING
         self._account_dequeue(rec)
-        if self.check.enabled:
-            self.check.rq_dequeue(self, rec)
+        if self.probe.enabled:
+            self.probe.rq_dequeue(self, rec)
         return rec
 
     def has_ready(self, service: Optional[str] = None) -> bool:
@@ -191,8 +191,8 @@ class RequestQueue:
         # by the (now smaller) remaining work.
         heapq.heappush(self._ready_heap,
                        (self.policy.key(rec), rec.req_id, rec))
-        if self.check.enabled:
-            self.check.rq_wakeup(self, rec)
+        if self.probe.enabled:
+            self.probe.rq_wakeup(self, rec)
 
     def complete(self, rec: RequestRecord) -> None:
         """Mark finished; advance the head past finished entries."""
@@ -205,8 +205,8 @@ class RequestQueue:
             # occupancy accounting for the rest of the run).
             if not stale:
                 self.soft_entries -= 1
-            if self.check.enabled:
-                self.check.rq_complete(self, rec, stale=stale)
+            if self.probe.enabled:
+                self.probe.rq_complete(self, rec, stale=stale)
             return
         if not stale:
             while self._size > 0:
@@ -218,8 +218,8 @@ class RequestQueue:
                     self._size -= 1
                 else:
                     break
-        if self.check.enabled:
-            self.check.rq_complete(self, rec, stale=stale)
+        if self.probe.enabled:
+            self.probe.rq_complete(self, rec, stale=stale)
 
     def is_stale(self, rec: RequestRecord) -> bool:
         """Was ``rec``'s entry wiped by a purge since it was enqueued?"""
@@ -233,8 +233,8 @@ class RequestQueue:
         completion for a pre-purge entry is recognised as stale and
         ignored.  Returns the number of entries dropped.
         """
-        if self.check.enabled:
-            self.check.rq_purge(self)       # counts the pre-wipe entries
+        if self.probe.enabled:
+            self.probe.rq_purge(self)       # counts the pre-wipe entries
         dropped = self._size + self.soft_entries
         self._slots = [None] * self.capacity
         self._head = 0

@@ -6,7 +6,8 @@ The proportion of entries assigned to each service can be the same as
 the proportion of cores assigned to each service...  This additional
 hardware would eliminate contention of different-service cores for the
 same RQ."  The paper describes but does not evaluate this design; it is
-implemented here (with an ablation benchmark) as the natural extension.
+implemented here (unit-tested in ``tests/test_rq_map.py``) as the
+natural extension.
 
 The RQ_Map table maps a service id to its partition; ``Dequeue`` consults
 the map first, exactly as the paper's augmented instruction would.

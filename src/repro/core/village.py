@@ -92,10 +92,9 @@ class Village:
         if observe is None:
             observe = getattr(getattr(self.rq, "policy", None),
                               "observe", None)
-        self._observe_segment = observe
-        #: Service-time tap of the hybrid fast path (repro.hybrid); None
-        #: outside hybrid runs so the hot path pays one attribute load.
-        self.hybrid_observe = None
+        #: Per-segment ``(service, duration_ns)`` tap, or None.  The
+        #: hybrid fast path chains its own tap after this one.
+        self.observe_segment = observe
         self.completed = 0
         self.steals = 0
         self.bypasses = 0
@@ -215,13 +214,9 @@ class Village:
         rec._first_dispatch_ns = self.engine.now
         rec.queue_wait_ns = 0.0
         self.bypasses += 1
-        check = self.engine.check
-        if check.enabled:
-            check.core_bypass(self, rec)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.span("core_bypass", self.name, self.engine.now,
-                        self.engine.now, rec=rec, track=self.name)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.core_bypass(self, rec)
         self._execute(core, rec)
         return True
 
@@ -257,22 +252,16 @@ class Village:
             rec._first_dispatch_ns = self.engine.now
             rec.queue_wait_ns = self.engine.now - getattr(
                 rec, "_enqueue_ns", self.engine.now)
-        tracer = self.engine.tracer
-        if tracer.enabled:
+        probe = self.engine.probe
+        stolen = rec.village != self.village_id
+        if probe.enabled:
             # RQ residency ends at dequeue; the ready stamp comes from the
             # queue's clock (enqueue or the last blocked->ready wakeup).
-            tracer.span("rq_wait", self.name, getattr(
+            probe.span("rq_wait", self.name, getattr(
                 rec, "_ready_since_ns", self.engine.now), self.engine.now,
                 rec=rec, track=self.name)
-        stolen = rec.village != self.village_id
-        if stolen:
-            check = self.engine.check
-            if check.enabled:
-                check.rq_steal(self, rec)
-            if tracer.enabled:
-                tracer.span("steal", self.name, self.engine.now,
-                            self.engine.now + self.steal_overhead_ns,
-                            rec=rec, track=self.name)
+            if stolen:
+                probe.rq_steal(self, rec)
 
         def start():
             if rec.has_run:
@@ -293,22 +282,14 @@ class Village:
         duration = self.executor.segment_time_ns(rec, core)
         if self.degrade_factor != 1.0:       # gray failure: slow node
             duration *= self.degrade_factor
-        if self._observe_segment is not None:
-            self._observe_segment(rec.service, duration)
-        if self.hybrid_observe is not None:
-            self.hybrid_observe(rec.service, duration)
+        if self.observe_segment is not None:
+            self.observe_segment(rec.service, duration)
         rec.last_core = (self.village_id, core.core_id)
         rec.has_run = True
         core.busy_ns += duration
-        check = self.engine.check
-        if check.enabled:
-            check.compute_segment(self, rec, duration)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.span("compute", f"{rec.service}#seg{rec.seg_index}",
-                        self.engine.now, self.engine.now + duration,
-                        rec=rec, track=f"{self.name}.c{core.core_id}",
-                        core=core.core_id)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.compute_segment(self, rec, core, duration)
         self.engine.schedule(duration, self._segment_finished, core, rec)
 
     def _segment_finished(self, core: Core, rec: RequestRecord) -> None:

@@ -11,17 +11,15 @@ Each module implements the optimization and its published baseline:
 """
 
 from repro.cpu.microarch.branch import GSharePredictor, PerceptronPredictor
-from repro.cpu.microarch.iprefetch import ISpyPrefetcher, NoIPrefetcher
-from repro.cpu.microarch.prefetch import NoPrefetcher, PythiaPrefetcher, StridePrefetcher
+from repro.cpu.microarch.iprefetch import ISpyPrefetcher
+from repro.cpu.microarch.prefetch import PythiaPrefetcher, StridePrefetcher
 from repro.cpu.microarch.replacement import RipplePolicy
 
 __all__ = [
-    "NoPrefetcher",
     "StridePrefetcher",
     "PythiaPrefetcher",
     "GSharePredictor",
     "PerceptronPredictor",
-    "NoIPrefetcher",
     "ISpyPrefetcher",
     "RipplePolicy",
 ]

@@ -1,4 +1,4 @@
-"""Instruction prefetchers: none and an I-SPY-like context prefetcher.
+"""An I-SPY-like context instruction prefetcher.
 
 I-SPY [Khan et al., MICRO'20] observes that I-cache misses recur under the
 same program context; it learns (context -> missing blocks) associations
@@ -16,13 +16,6 @@ from typing import List
 from repro.cpu.traces import as_records
 
 LINE = 64
-
-
-class NoIPrefetcher:
-    """Baseline: no instruction prefetching."""
-
-    def observe(self, line_addr: int, hit: bool) -> List[int]:
-        return []
 
 
 class ISpyPrefetcher:

@@ -1,4 +1,4 @@
-"""Data prefetchers: none, stride, and a Pythia-like learning prefetcher.
+"""Data prefetchers: stride and a Pythia-like learning prefetcher.
 
 Pythia [Bera et al., MICRO'21] frames prefetching as reinforcement
 learning: a program context ("signature") selects a prefetch offset whose
@@ -17,16 +17,6 @@ import numpy as np
 from repro.cpu.traces import as_records
 
 LINE = 64
-
-
-class NoPrefetcher:
-    """Baseline: never prefetches."""
-
-    def observe(self, line_addr: int, hit: bool) -> List[int]:
-        return []
-
-    def credit(self, line_addr: int) -> None:
-        pass
 
 
 class StridePrefetcher:

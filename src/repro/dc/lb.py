@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.check.context import NULL_CHECK
+from repro.sim.probe import NULL_PROBE
 
 
 class LBPolicy:
@@ -191,7 +191,7 @@ class FrontEndLB:
     """
 
     def __init__(self, n_servers: int, policy: LBPolicy,
-                 rng=None, check=NULL_CHECK):
+                 rng=None, probe=NULL_PROBE):
         if n_servers < 1:
             raise ValueError("n_servers must be >= 1")
         if policy.needs_rng and rng is None:
@@ -199,7 +199,7 @@ class FrontEndLB:
         self.n_servers = n_servers
         self.policy = policy
         self.rng = rng
-        self.check = check
+        self.probe = probe
         self._active = [True] * n_servers
         self.outstanding = [0] * n_servers
         self.routed = [0] * n_servers
@@ -242,8 +242,8 @@ class FrontEndLB:
         sid = self.policy.choose(self, service, self.active_ids)
         self.routed[sid] += 1
         self.outstanding[sid] += 1
-        if self.check.enabled:
-            self.check.lb_route(self, sid, active=self._active[sid])
+        if self.probe.enabled:
+            self.probe.lb_route(self, sid, active=self._active[sid])
         return sid
 
     def request_done(self, server_id: int) -> None:

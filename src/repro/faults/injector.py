@@ -59,9 +59,9 @@ class FaultInjector:
         handler(server, event)
         self.injected += 1
         self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
-        check = self.engine.check
-        if check.enabled:
-            check.fault_applied(event, self.engine.now)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.fault_applied(event, self.engine.now)
 
     def _server(self, server_id: int):
         try:

@@ -134,8 +134,8 @@ class Network:
         """Route a message and call ``on_delivered`` when it arrives.
 
         ``rec`` optionally attributes the message's ``icn_hop`` span to a
-        request's trace (ignored when tracing is off).  When no surviving
-        route exists (failed links) the message blackholes:
+        request's trace (ignored when no probe is installed).  When no
+        surviving route exists (failed links) the message blackholes:
         ``on_dropped`` fires if given, otherwise nothing does — callers
         with a delivery guarantee wrap sends in a timeout.
 
@@ -157,11 +157,11 @@ class Network:
         if len(path) < 2:
             engine.schedule(0.0, on_delivered)
             return
-        check = engine.check
-        if check.enabled:
+        probe = engine.probe
+        if probe.enabled:
             # Conservation ledger covers routed (multi-hop) messages:
             # every send ends in _deliver or an in-flight drop.
-            check.icn_send(self)
+            probe.icn_send(self)
         hop_time = self._hop_times.get(size_bytes)
         if hop_time is None:
             hop_time = self.config.hop_latency_ns + \
@@ -170,16 +170,10 @@ class Network:
         n_hops = len(path) - 1
         self.hops_traversed += n_hops
 
-        if engine.tracer.enabled:
-            inner = on_delivered
-            name = f"{src}->{dst}"
-            sent_at = engine.now
-
-            def on_delivered() -> None:
-                engine.tracer.span(
-                    "icn_hop", name, sent_at, engine.now, rec=rec,
-                    track="icn", hops=n_hops, bytes=size_bytes)
-                inner()
+        if probe.enabled:
+            on_delivered = probe.spanning(
+                engine, on_delivered, "icn_hop", f"{src}->{dst}", rec=rec,
+                track="icn", hops=n_hops, bytes=size_bytes)
 
         if not self.config.contention:
             engine.schedule(hop_time * n_hops, self._deliver, on_delivered)
@@ -204,14 +198,14 @@ class Network:
         picks exactly as an equivalent ``send`` loop would — the draw
         order (and hence every downstream event) is byte-identical.
         The batch hoists the per-send constant work (hop-time lookup,
-        flag slots, counter loads) out of the loop; tracing, invariant
-        checking, degraded topologies and contention-free mode fall
-        back to plain sends, which keeps the fast path small.
+        probe slot, counter loads) out of the loop; an installed probe,
+        degraded topologies and contention-free mode fall back to plain
+        sends, which keeps the fast path small.
         """
         engine = self.engine
         topo = self.topology
-        if (topo._failed_links or engine.tracer.enabled
-                or engine.check.enabled or not self.config.contention):
+        if (topo._failed_links or engine.probe.enabled
+                or not self.config.contention):
             send = self.send
             for src in sources:
                 send(src, dst, size_bytes, on_each, rec=rec)
@@ -252,16 +246,16 @@ class Network:
               in_flight: bool = False) -> None:
         """Blackhole one message (no route, or a hop died in flight)."""
         self.messages_dropped += 1
-        check = self.engine.check
-        if check.enabled:
-            check.icn_drop(self, in_flight=in_flight)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.icn_drop(self, in_flight=in_flight)
         if on_dropped is not None:
             self.engine.schedule(0.0, on_dropped)
 
     def _deliver(self, on_delivered: Callable[[], None]) -> None:
-        check = self.engine.check
-        if check.enabled:
-            check.icn_deliver(self)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.icn_deliver(self)
         on_delivered()
 
     def queued_messages(self) -> int:

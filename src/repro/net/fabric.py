@@ -46,16 +46,11 @@ class InterServerFabric:
              done: Callable[[], None], rec=None) -> None:
         """Deliver a message between servers (or to the storage tier)."""
         self.messages += 1
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            start = self.engine.now
-            inner = done
-
-            def done() -> None:
-                tracer.span("fabric", f"s{src_server}->s{dst_server}",
-                            start, self.engine.now, rec=rec, track="fabric",
-                            bytes=size_bytes)
-                inner()
+        probe = self.engine.probe
+        if probe.enabled:
+            done = probe.spanning(self.engine, done, "fabric",
+                                  f"s{src_server}->s{dst_server}", rec=rec,
+                                  track="fabric", bytes=size_bytes)
 
         cfg = self.config
         serialize = size_bytes / cfg.bytes_per_ns

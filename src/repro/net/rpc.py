@@ -43,9 +43,9 @@ class Message:
                **kwargs: Any) -> "Message":
         """Build a message with a run-local id from ``engine``."""
         msg = cls(kind, service, msg_id=engine.next_msg_id(), **kwargs)
-        check = engine.check
-        if check.enabled:
-            check.message_created(msg)
+        probe = engine.probe
+        if probe.enabled:
+            probe.message_created(msg)
         return msg
 
     @property

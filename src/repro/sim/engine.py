@@ -11,8 +11,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Iterable, Optional
 
-from repro.check.context import NULL_CHECK
-from repro.telemetry.tracer import NULL_TRACER
+from repro.sim.probe import NULL_PROBE
 
 
 class ScheduledEvent:
@@ -51,13 +50,11 @@ class Engine:
         #: Estimated events the hybrid fast path avoided simulating
         #: (maintained by :mod:`repro.hybrid`; 0 outside hybrid runs).
         self.events_elided: int = 0
-        #: Telemetry hook shared by every component built on this engine.
-        #: Defaults to the no-op tracer; sites guard on ``tracer.enabled``
-        #: so disabled tracing costs one attribute load per hook.
-        self.tracer = NULL_TRACER
-        #: Invariant sanitizer hook (:mod:`repro.check`), same pattern:
-        #: the default no-op context keeps checking off the hot path.
-        self.check = NULL_CHECK
+        #: Observer hook shared by every component built on this engine
+        #: (:mod:`repro.sim.probe`).  Defaults to the no-op probe; sites
+        #: guard on ``probe.enabled`` so an unobserved run costs one
+        #: attribute load per hook site.
+        self.probe = NULL_PROBE
         self._msg_ids: int = 0
 
     def next_msg_id(self) -> int:
@@ -145,8 +142,8 @@ class Engine:
         """
         heap = self._heap
         pop = heapq.heappop
-        check = self.check
-        check_on = check.enabled
+        probe = self.probe
+        probe_on = probe.enabled
         budget = -1 if max_events is None else max_events
         while heap:
             if budget == 0:
@@ -161,13 +158,13 @@ class Engine:
                 # Clamp: a second run() with an earlier horizon must not
                 # rewind the clock below times already handed out.
                 if until > self.now:
-                    if check_on:
-                        check.clock_advance(self.now, until)
+                    if probe_on:
+                        probe.clock_advance(self.now, until)
                     self.now = until
                 break
             pop(heap)
-            if check_on:
-                check.clock_advance(self.now, t)
+            if probe_on:
+                probe.clock_advance(self.now, t)
             self.now = t
             self.events_processed += 1
             ev.fn(*ev.args)

@@ -29,9 +29,9 @@ class Resource:
         self.busy = 0
         self._queue: Deque[Tuple[float, float, Callable]] = deque()
         self.jobs_served = 0
-        check = getattr(engine, "check", None)
-        if check is not None and check.enabled:
-            check.resource_register(self)   # drain-time leak detection
+        probe = getattr(engine, "probe", None)
+        if probe is not None and probe.enabled:
+            probe.resource_register(self)   # drain-time leak detection
         self.busy_time = 0.0
         self.wait_time_total = 0.0
         self.max_queue_len = 0
@@ -45,9 +45,9 @@ class Resource:
             # (start == arrival, so the wait-total term is exactly 0.0).
             self.busy += 1
             engine = self.engine
-            check = engine.check
-            if check.enabled:
-                check.resource_event(self)
+            probe = engine.probe
+            if probe.enabled:
+                probe.resource_event(self)
             engine.schedule(service_time, self._finish, engine.now,
                             service_time, done)
         else:
@@ -63,18 +63,18 @@ class Resource:
         self.busy += 1
         start = self.engine.now
         self.wait_time_total += start - arrival
-        check = self.engine.check
-        if check.enabled:
-            check.resource_event(self)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.resource_event(self)
         self.engine.schedule(service_time, self._finish, start, service_time, done)
 
     def _finish(self, start: float, service_time: float, done: Callable) -> None:
         self.busy -= 1
         self.jobs_served += 1
         self.busy_time += service_time
-        check = self.engine.check
-        if check.enabled:
-            check.resource_event(self)
+        probe = self.engine.probe
+        if probe.enabled:
+            probe.resource_event(self)
         done(start, self.engine.now)
         if self._queue and self.busy < self.capacity:
             arrival, svc, cb = self._queue.popleft()

@@ -6,9 +6,9 @@ system state over time; exporters write Chrome trace-event JSON
 (Perfetto-loadable) and flat JSON/CSV; the breakdown module turns a
 span stream into the per-category latency decomposition of Figure 15.
 
-Tracing defaults to :data:`~repro.telemetry.tracer.NULL_TRACER` on
-every engine — instrumentation sites guard on ``tracer.enabled`` and
-cost one attribute load when disabled.
+The :class:`~repro.telemetry.tracer.Tracer` is one subscriber of the
+engine's probe slot (:mod:`repro.sim.probe`); with no observer installed
+instrumentation sites cost one ``probe.enabled`` attribute load.
 """
 
 from repro.telemetry.breakdown import (
@@ -26,13 +26,11 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.span import CATEGORIES, Span
-from repro.telemetry.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.telemetry.tracer import Tracer
 
 __all__ = [
     "CATEGORIES",
     "Span",
-    "NullTracer",
-    "NULL_TRACER",
     "Tracer",
     "Counter",
     "Gauge",

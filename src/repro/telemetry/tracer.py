@@ -1,14 +1,11 @@
-"""Tracers: the hook API every simulated layer reports through.
+"""The span tracer: a :class:`~repro.sim.probe.Probe` subscriber.
 
-Two implementations share one interface:
-
-* :class:`NullTracer` — the default on every :class:`~repro.sim.engine.
-  Engine`.  All methods are no-ops and ``enabled`` is False, so
-  instrumentation sites guard with ``if tracer.enabled:`` and pay only
-  an attribute load + branch when tracing is off.
-* :class:`Tracer` — records spans and per-request metadata in memory
-  for export (:mod:`repro.telemetry.export`) and analysis
-  (:mod:`repro.telemetry.breakdown`).
+:class:`Tracer` records spans and per-request metadata in memory for
+export (:mod:`repro.telemetry.export`) and analysis
+(:mod:`repro.telemetry.breakdown`).  Install it by passing
+``tracer=Tracer()`` to :class:`~repro.systems.cluster.ClusterSimulation`
+(or setting ``engine.probe``); every layer then reports through the
+engine's probe slot.
 
 Request identity is *trace-local*: the tracer assigns each request a
 dense index in ``begin_request`` order.  Global ``req_id`` counters
@@ -20,31 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from repro.sim.probe import Probe
 from repro.telemetry.span import Span
-
-
-class NullTracer:
-    """Disabled tracer: every hook is a no-op.
-
-    Also serves as the interface definition — :class:`Tracer` overrides
-    every method.
-    """
-
-    enabled: bool = False
-
-    def begin_request(self, rec, now: float, parent=None) -> None:
-        """A request (root or nested RPC) entered the system."""
-
-    def end_request(self, rec, now: float, rejected: bool = False) -> None:
-        """The request's response was delivered (or it was rejected)."""
-
-    def span(self, category: str, name: str, start_ns: float, end_ns: float,
-             rec=None, track: str = "", **attrs: Any) -> None:
-        """Record one completed interval of work."""
-
-
-#: Shared default instance; safe because NullTracer is stateless.
-NULL_TRACER = NullTracer()
 
 
 class _RequestInfo:
@@ -67,7 +41,7 @@ class _RequestInfo:
         self.rejected = False
 
 
-class Tracer(NullTracer):
+class Tracer(Probe):
     """Collects spans for one simulation run."""
 
     enabled = True
@@ -126,6 +100,31 @@ class Tracer(NullTracer):
             start_ns=start_ns, end_ns=end_ns, track=track,
             req_index=info.index if info else None,
             parent_id=info.span_id if info else None, attrs=attrs))
+
+    def core_bypass(self, village, rec) -> None:
+        """A zero-length ``core_bypass`` marker on the village track."""
+        now = village.engine.now
+        self.span("core_bypass", village.name, now, now, rec=rec,
+                  track=village.name)
+
+    def rq_steal(self, village, rec) -> None:
+        """A ``steal`` span covering the migration overhead."""
+        now = village.engine.now
+        self.span("steal", village.name, now,
+                  now + village.steal_overhead_ns, rec=rec,
+                  track=village.name)
+
+    def compute_segment(self, village, rec, core,
+                        duration_ns: float) -> None:
+        """A ``compute`` span on the core's own track."""
+        now = village.engine.now
+        self.span("compute", f"{rec.service}#seg{rec.seg_index}", now,
+                  now + duration_ns, rec=rec,
+                  track=f"{village.name}.c{core.core_id}", core=core.core_id)
+
+    def ext_rejected(self, rec) -> None:
+        """Close the rejected request's span at its error response."""
+        self.end_request(rec, rec.finish_ns, rejected=True)
 
     # ---------------------------------------------------------- queries
 

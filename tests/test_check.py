@@ -8,9 +8,9 @@ import pytest
 from repro.check import (
     CheckContext,
     CheckError,
-    NULL_CHECK,
     check_span_tree,
 )
+from repro.sim.probe import NULL_PROBE
 from repro.systems.cluster import simulate
 from repro.systems.configs import UMANYCORE
 from repro.workloads.deathstar import SOCIAL_NETWORK_APPS
@@ -28,10 +28,10 @@ def run(check=None, tracer=None, seed=1, **kw):
 
 # ---------------------------------------------------------------- unit level
 
-def test_null_check_is_disabled_and_inert():
-    assert not NULL_CHECK.enabled
-    NULL_CHECK.clock_advance(5.0, 1.0)          # no-op, never raises
-    assert NULL_CHECK.finalize() == []
+def test_null_probe_check_hooks_are_disabled_and_inert():
+    assert not NULL_PROBE.enabled
+    NULL_PROBE.clock_advance(5.0, 1.0)          # no-op, never raises
+    assert NULL_PROBE.root_offered(3) is None
 
 
 def test_violation_collection_and_ok():

@@ -189,11 +189,11 @@ def test_degraded_send_emits_one_icn_hop_span():
     src, dst = topo.leaf_name(0, 0), topo.leaf_name(0, 1)
     topo.fail_link(src, topo.spine_name(0, 0))
     eng = Engine()
-    eng.tracer = Tracer()
+    eng.probe = Tracer()
     net = Network(eng, topo, NetworkConfig(), rng=np.random.default_rng(3))
     net.send(src, dst, 64, lambda: None)
     eng.run()
-    (span,) = [s for s in eng.tracer.spans if s.category == "icn_hop"]
+    (span,) = [s for s in eng.probe.spans if s.category == "icn_hop"]
     assert span.name == f"{src}->{dst}" and span.attrs["hops"] == 2
     assert span.end_ns == eng.now
 
@@ -204,7 +204,7 @@ def test_degraded_sends_balance_the_sanitizer_ledger():
     topo = spur_topology()
     topo.fail_link("n1", "x")
     eng = Engine()
-    eng.check = CheckContext(strict=True)
+    eng.probe = CheckContext(strict=True)
     net = Network(eng, topo, NetworkConfig())
     dropped = []
     net.send("n0", "n2", 64, lambda: None)
@@ -212,8 +212,8 @@ def test_degraded_sends_balance_the_sanitizer_ledger():
                  lambda: dropped.append(eng.now))
     eng.schedule(4.0, topo.fail_link, "n1", "n2")
     eng.run()
-    assert eng.check.finalize() == []
-    (led,) = eng.check._nets.values()
+    assert eng.probe.finalize() == []
+    (led,) = eng.probe._nets.values()
     assert (led.sends, led.delivers, led.inflight_drops) == (2, 1, 1)
     assert len(dropped) == 1 and net.messages_dropped == 1
 

@@ -186,16 +186,16 @@ def test_nics_emit_dispatch_spans_when_traced():
     from repro.telemetry import Tracer
 
     eng = Engine()
-    eng.tracer = Tracer()
+    eng.probe = Tracer()
     lnic = LNic(eng, NicConfig(), name="v0.lnic")
     top = TopLevelNic(eng, NicConfig(), name="tnic")
     lnic.process(512, lambda: None)
     top.process(512, lambda: None)
     eng.run()
-    spans = {(s.track, s.category) for s in eng.tracer.spans}
+    spans = {(s.track, s.category) for s in eng.probe.spans}
     assert ("v0.lnic", "nic_dispatch") in spans
     assert ("tnic", "nic_dispatch") in spans
-    assert all(s.duration_ns > 0 for s in eng.tracer.spans)
+    assert all(s.duration_ns > 0 for s in eng.probe.spans)
 
 
 def test_fabric_latency_and_serialization():

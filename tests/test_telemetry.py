@@ -9,12 +9,12 @@ from repro.core.context_switch import HARDWARE_CS, SchedulerDomain
 from repro.core.request import RequestRecord
 from repro.core.village import Village
 from repro.sim.engine import Engine
+from repro.sim.probe import NULL_PROBE
 from repro.systems.cluster import simulate
 from repro.systems.configs import SCALEOUT, UMANYCORE
 from repro.telemetry import (
     BREAKDOWN_CATEGORIES,
     MetricsRegistry,
-    NULL_TRACER,
     Span,
     Tracer,
     aggregate_breakdown,
@@ -37,16 +37,16 @@ def _rec(service="svc", segments=(100.0,)):
 
 # ------------------------------------------------------------------ tracer
 
-def test_null_tracer_is_disabled_noop():
-    assert NULL_TRACER.enabled is False
+def test_null_probe_span_hooks_are_disabled_noops():
+    assert NULL_PROBE.enabled is False
     rec = _rec()
-    NULL_TRACER.begin_request(rec, 0.0)
-    NULL_TRACER.span("compute", "x", 0.0, 1.0, rec=rec)
-    NULL_TRACER.end_request(rec, 1.0)     # all silently ignored
+    NULL_PROBE.begin_request(rec, 0.0)
+    NULL_PROBE.span("compute", "x", 0.0, 1.0, rec=rec)
+    NULL_PROBE.end_request(rec, 1.0)     # all silently ignored
 
 
-def test_engine_defaults_to_null_tracer():
-    assert Engine().tracer is NULL_TRACER
+def test_engine_defaults_to_null_probe():
+    assert Engine().probe is NULL_PROBE
 
 
 def test_tracer_request_tree_links():
@@ -285,7 +285,7 @@ def test_village_emits_rq_wait_under_contention():
 
     eng = Engine()
     tracer = Tracer()
-    eng.tracer = tracer
+    eng.probe = tracer
     dom = SchedulerDomain(eng, HARDWARE_CS, 2.0)
     village = Village(eng, 0, 1, dom, Exec(), rq_capacity=8)
     for __ in range(3):

@@ -221,13 +221,14 @@ def test_deathstar_app_unknown_label():
 # ------------------------------------------------- ledger / determinism
 
 def test_bulk_root_offered_counts():
-    from repro.check import CheckContext, NullCheckContext
+    from repro.check import CheckContext
+    from repro.sim.probe import NULL_PROBE
 
     ctx = CheckContext(strict=True)
     ctx.root_offered(5)
     ctx.root_offered()
     assert ctx._roots_offered == 6
-    NullCheckContext().root_offered(3)  # no-op, must accept n
+    NULL_PROBE.root_offered(3)  # no-op, must accept n
 
 
 @pytest.mark.parametrize("name", ["mmpp", "flash"])
