@@ -47,6 +47,12 @@ class HierarchicalLeafSpine(Topology):
         self._leaf_names = [
             self.leaf_name(i // leaves_per_pod, i % leaves_per_pod)
             for i in range(n_pods * leaves_per_pod)]
+        #: ``_spine_names[pod][spine]`` and ``_core_names[core]``: the
+        #: routing paths below index these instead of formatting names.
+        self._spine_names = [[self.spine_name(pod, spine)
+                              for spine in range(spines_per_pod)]
+                             for pod in range(n_pods)]
+        self._core_names = [self.core_name(core) for core in range(n_core)]
 
     @property
     def n_leaves(self) -> int:
@@ -98,11 +104,11 @@ class HierarchicalLeafSpine(Topology):
         src_pod, __ = self._parse_leaf(src)
         dst_pod, __ = self._parse_leaf(dst)
         if src_pod == dst_pod:
-            spine = self.spine_name(src_pod, choice(self.spines_per_pod))
+            spine = self._spine_names[src_pod][choice(self.spines_per_pod)]
             return [src, spine, dst]
-        up_spine = self.spine_name(src_pod, choice(self.spines_per_pod))
-        core = self.core_name(choice(self.n_core))
-        down_spine = self.spine_name(dst_pod, choice(self.spines_per_pod))
+        up_spine = self._spine_names[src_pod][choice(self.spines_per_pod)]
+        core = self._core_names[choice(self.n_core)]
+        down_spine = self._spine_names[dst_pod][choice(self.spines_per_pod)]
         return [src, up_spine, core, down_spine, dst]
 
     def _route_plan(self, src: str, dst: str):
@@ -116,15 +122,18 @@ class HierarchicalLeafSpine(Topology):
             return None
         src_pod, __ = self._parse_leaf(src)
         dst_pod, __ = self._parse_leaf(dst)
+        src_spines = self._spine_names[src_pod]
         if src_pod == dst_pod:
             def build_intra(key):
-                return [src, self.spine_name(src_pod, key[0]), dst]
+                return [src, src_spines[key[0]], dst]
             return (self.spines_per_pod,), build_intra
 
+        cores = self._core_names
+        dst_spines = self._spine_names[dst_pod]
+
         def build_inter(key):
-            return [src, self.spine_name(src_pod, key[0]),
-                    self.core_name(key[1]),
-                    self.spine_name(dst_pod, key[2]), dst]
+            return [src, src_spines[key[0]], cores[key[1]],
+                    dst_spines[key[2]], dst]
         return (self.spines_per_pod, self.n_core, self.spines_per_pod), \
             build_inter
 
@@ -143,21 +152,18 @@ class HierarchicalLeafSpine(Topology):
         dst_pod, __ = self._parse_leaf(dst)
         paths: List[List[str]] = []
         if src_pod == dst_pod:
-            for s in range(self.spines_per_pod):
-                spine = self.spine_name(src_pod, s)
+            for spine in self._spine_names[src_pod]:
                 if ok(src, spine) and ok(spine, dst):
                     paths.append([src, spine, dst])
             return paths
-        for up in range(self.spines_per_pod):
-            up_spine = self.spine_name(src_pod, up)
+        dst_spines = self._spine_names[dst_pod]
+        for up_spine in self._spine_names[src_pod]:
             if not ok(src, up_spine):
                 continue
-            for c in range(self.n_core):
-                core = self.core_name(c)
+            for core in self._core_names:
                 if not ok(up_spine, core):
                     continue
-                for down in range(self.spines_per_pod):
-                    down_spine = self.spine_name(dst_pod, down)
+                for down_spine in dst_spines:
                     if ok(core, down_spine) and ok(down_spine, dst):
                         paths.append(
                             [src, up_spine, core, down_spine, dst])

@@ -1,9 +1,10 @@
 """Event-queue simulation engine.
 
 Pending events live in one binary heap of ``(time, sequence, event)``
-tuples.  The sequence number breaks same-timestamp ties in scheduling
-order.  This tie-break is the determinism contract every simulation
-above relies on — see docs/PERFORMANCE.md before touching it.
+tuples; a batch keeps a single entry for its next event.  The sequence
+number breaks same-timestamp ties in scheduling order.  This tie-break
+is the determinism contract every simulation above relies on — see
+docs/PERFORMANCE.md before touching it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,47 @@ class ScheduledEvent:
     def cancel(self) -> None:
         """Prevent the callback from firing (lazy removal from the queue)."""
         self.cancelled = True
+
+
+class _BatchCursor:
+    """The single heap entry of a :meth:`Engine.schedule_at_batch` batch.
+
+    Duck-types :class:`ScheduledEvent` for the run loop (``fn``, ``args``,
+    ``cancelled``); ``fn`` fires the current batch entry.
+    """
+
+    __slots__ = ("fn", "args", "cancelled", "_heap", "_times", "_n", "_i",
+                 "_seq0", "_target", "_target_args", "_append_time")
+
+    def __init__(self, heap: list, times: list, seq0: int,
+                 target: Callable[..., Any], target_args: tuple,
+                 append_time: bool):
+        self.fn = self._fire
+        self.args = ()
+        self.cancelled = False
+        self._heap = heap
+        self._times = times
+        self._n = len(times)
+        self._i = 0
+        self._seq0 = seq0
+        self._target = target
+        self._target_args = target_args
+        self._append_time = append_time
+
+    def _fire(self) -> None:
+        # Queue the successor before calling the target, so a target
+        # that peeks at the queue (or raises) still sees the whole batch.
+        i = self._i
+        times = self._times
+        t = times[i]
+        i += 1
+        if i < self._n:
+            self._i = i
+            heapq.heappush(self._heap, (times[i], self._seq0 + i, self))
+        if self._append_time:
+            self._target(*self._target_args, t)
+        else:
+            self._target(*self._target_args)
 
 
 class Engine:
@@ -87,17 +129,22 @@ class Engine:
     def schedule_at_batch(self, times: Iterable[float],
                           fn: Callable[..., Any], *args: Any,
                           append_time: bool = False) -> None:
-        """Bulk-schedule ``fn(*args)`` at each ascending timestamp.
+        """Schedule ``fn(*args)`` at each timestamp of a sorted batch.
 
-        ``times`` must be non-decreasing and ``>= now`` (validated once at
-        the head, then trusted — callers pass sorted arrival arrays).
-        With ``append_time=True`` each callback receives its own firing
-        time as an extra trailing argument: ``fn(*args, t)``.
+        ``times`` must be non-decreasing and ``>= now``; a decreasing pair
+        raises ``ValueError``.  With ``append_time=True`` each callback
+        receives its own firing time as an extra trailing argument:
+        ``fn(*args, t)``.
 
-        Events get consecutive sequence numbers in iteration order, so the
-        result is byte-identical to a ``schedule_at`` loop; only the
-        per-call overhead (bounds check, attribute traffic) is batched
-        away.  No handles are returned — batch arrivals are never
+        The batch reserves one block of consecutive sequence numbers, in
+        iteration order, but holds a single heap entry: a cursor that,
+        each time it fires, pushes the batch's next ``(time, seq)`` and
+        then calls ``fn``.  Heap order depends only on ``(time, seq)``,
+        and each batch entry is pushed before any entry that sorts after
+        it can pop, so the firing order, the clock and
+        ``events_processed`` are exactly those of a ``schedule_at`` loop,
+        while the pending heap grows with in-flight work rather than with
+        the batch.  No handles are returned — batch arrivals are never
         cancelled individually.
         """
         times = list(times)
@@ -106,18 +153,16 @@ class Engine:
         if times[0] < self.now:
             raise ValueError(
                 f"cannot schedule in the past: {times[0]} < {self.now}")
+        if times != sorted(times):
+            i = next(i for i in range(1, len(times))
+                     if times[i] < times[i - 1])
+            raise ValueError(
+                f"batch times must be non-decreasing: times[{i}] = "
+                f"{times[i]} < times[{i - 1}] = {times[i - 1]}")
         seq = self._seq
-        heap = self._heap
-        push = heapq.heappush
-        if append_time:
-            for t in times:
-                push(heap, (t, seq, ScheduledEvent(t, fn, args + (t,))))
-                seq += 1
-        else:
-            for t in times:
-                push(heap, (t, seq, ScheduledEvent(t, fn, args)))
-                seq += 1
-        self._seq = seq
+        self._seq = seq + len(times)
+        cursor = _BatchCursor(self._heap, times, seq, fn, args, append_time)
+        heapq.heappush(self._heap, (times[0], seq, cursor))
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or None when idle."""

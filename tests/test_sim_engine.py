@@ -111,17 +111,19 @@ def test_schedule_at_absolute_time(eng):
 
 def test_schedule_at_batch_matches_loop(eng):
     """Batch insertion must replay a schedule_at loop exactly —
-    same (time, seq) order, including ties across the two paths."""
+    same (time, seq) order, including ties across the two paths (the
+    batch's last time ties the event scheduled right after it)."""
     fired = []
     times = [3.0, 3.0, 7.5, 7.5, 12.0]
     eng.schedule(3.0, fired.append, ("pre", 3.0))
     eng.schedule_at_batch(times, lambda t: fired.append(("batch", t)),
                           append_time=True)
+    eng.schedule(12.0, fired.append, ("post", 12.0))
     eng.schedule(3.0, fired.append, ("post", 3.0))
     eng.run()
     assert fired == [("pre", 3.0), ("batch", 3.0), ("batch", 3.0),
                      ("post", 3.0), ("batch", 7.5), ("batch", 7.5),
-                     ("batch", 12.0)]
+                     ("batch", 12.0), ("post", 12.0)]
 
 
 def test_schedule_at_batch_past_time_rejected(eng):
@@ -129,6 +131,35 @@ def test_schedule_at_batch_past_time_rejected(eng):
     eng.run()
     with pytest.raises(ValueError):
         eng.schedule_at_batch([1.0], lambda t: None, append_time=True)
+
+
+def test_schedule_at_batch_rejects_decreasing_times(eng):
+    """A cursor fires a batch in list order, so an unsorted batch must be
+    refused up front rather than fired out of order."""
+    fired = []
+    with pytest.raises(ValueError, match="non-decreasing"):
+        eng.schedule_at_batch([1.0, 2.0, 2.0, 1.5, 3.0], fired.append,
+                              append_time=True)
+    assert eng.peek_time() is None
+    eng.schedule_at(1.0, fired.append, "x")
+    eng.run()
+    assert fired == ["x"]
+
+
+def test_schedule_at_batch_holds_one_pending_entry(eng):
+    """A batch costs one heap entry however long it is; every time still
+    fires, and counts, as its own event."""
+    n = 20_000
+    fired = []
+    eng.schedule_at_batch([float(i // 2) for i in range(n)], fired.append,
+                          append_time=True)
+    assert len(eng._heap) == 1
+    eng.run(max_events=n // 2)
+    assert len(eng._heap) == 1
+    eng.run()
+    assert fired == [float(i // 2) for i in range(n)]
+    assert eng.events_processed == n
+    assert not eng._heap
 
 
 def test_max_events_bound(eng):
@@ -166,20 +197,36 @@ class _ReferenceQueue:
     def schedule_at(self, time, fn, *args):
         return self._push(time, fn, args)
 
+    def schedule_at_batch(self, times, fn, *args, append_time=False):
+        for t in times:
+            self.schedule_at(t, fn, *(args + (t,) if append_time else args))
+
     @staticmethod
     def cancel(entry):
         entry[4] = True
 
-    def run(self):
-        while True:
-            live = [e for e in self._entries if not e[4]]
-            if not live:
+    def _head(self):
+        live = [e for e in self._entries if not e[4]]
+        return min(live, key=lambda e: (e[0], e[1])) if live else None
+
+    def peek_time(self):
+        entry = self._head()
+        return None if entry is None else entry[0]
+
+    def run(self, until=None, max_events=None):
+        budget = -1 if max_events is None else max_events
+        while budget != 0:
+            entry = self._head()
+            if entry is None:
                 return
-            entry = min(live, key=lambda e: (e[0], e[1]))
+            if until is not None and entry[0] > until:
+                self.now = max(self.now, until)
+                return
             entry[4] = True
             self.now = entry[0]
             self.events_processed += 1
             entry[2](*entry[3])
+            budget -= 1
 
 
 def test_fired_order_matches_brute_force_reference():
@@ -213,3 +260,77 @@ def test_fired_order_matches_brute_force_reference():
     want = drive(_ReferenceQueue(), _ReferenceQueue.cancel)
     assert got == want
     assert got[2] > 400          # handler-scheduled events fired too
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batches_match_brute_force_reference(seed):
+    """Batches against the brute-force oracle: interleaved batches whose
+    times tie each other and handler-scheduled events, a batch inserted
+    from inside a handler, cancellations around batch entries, and runs
+    that stop inside a batch (by ``until`` and by ``max_events``) with
+    ``peek_time()`` read between them."""
+    import numpy as np
+
+    def drive(eng, cancel):
+        rng = np.random.default_rng(seed)
+        fired = []
+        pending = []
+        log = []
+        inserted = []
+
+        def plain(tag):
+            fired.append((eng.now, "plain", tag))
+
+        def arrive(name, t):
+            fired.append((eng.now, name, t))
+            roll = int(rng.integers(6))
+            if roll == 0:
+                pending.append(eng.schedule(0.0, plain, len(fired)))
+            elif roll == 1:
+                pending.append(eng.schedule(float(rng.integers(1, 4)),
+                                            plain, len(fired)))
+            elif roll == 2 and pending:
+                cancel(pending.pop(int(rng.integers(len(pending)))))
+            if name == "a" and len(fired) >= 60 and not inserted:
+                # A batch inserted mid-run, tying the pending ones.
+                inserted.append(True)
+                start = eng.now
+                eng.schedule_at_batch(
+                    [start + float(x) for x in
+                     np.sort(rng.integers(0, 20, 40))], arrive, "c",
+                    append_time=True)
+
+        def sorted_times(n, hi):
+            return [float(x) for x in np.sort(rng.integers(0, hi, n))]
+
+        for i in range(30):
+            pending.append(eng.schedule_at(float(rng.integers(0, 40)),
+                                           plain, -i))
+        eng.schedule_at_batch(sorted_times(80, 40), arrive, "a",
+                              append_time=True)
+        eng.schedule_at_batch(sorted_times(80, 40), arrive, "b",
+                              append_time=True)
+        eng.run(until=12.5)
+        log.append(("until", eng.now, eng.peek_time(), len(fired)))
+        eng.run(max_events=37)
+        while fired[-1][1] == "plain":  # stop on a batch entry
+            eng.run(max_events=1)
+        log.append(("budget", eng.now, eng.peek_time(), len(fired)))
+        eng.run(until=3.0)              # horizon already passed
+        log.append(("past", eng.now, eng.peek_time(), len(fired)))
+        eng.run()
+        log.append(("end", eng.now, eng.peek_time(), len(fired)))
+        return fired, log, eng.events_processed
+
+    got = drive(Engine(), lambda ev: ev.cancel())
+    want = drive(_ReferenceQueue(), _ReferenceQueue.cancel)
+    assert got == want
+    fired, log, __ = want
+    names = [name for __, name, __ in fired]
+    assert names.count("a") == names.count("b") == 80
+    assert names.count("c") == 40
+    # Each stop point fell inside a batch: batch entries fired on both
+    # sides of it.
+    for __, __, __, n in log[:2]:
+        assert {"a", "b"} & set(names[:n])
+        assert {"a", "b", "c"} & set(names[n:])

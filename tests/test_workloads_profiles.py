@@ -3,9 +3,10 @@ DeathStarBench graphs.
 
 Covers the bursty window-boundary regression (index-computed, stable at
 long horizons), per-profile determinism and horizon exclusivity, the
-poisson byte-identity contract, trace replay round-trips, the Media and
-Hotel service graphs, bulk ledger accounting, the profile-aware hybrid
-drift guard, and the figW flash-crowd acceptance behaviors.
+poisson byte-identity contract, the sorted-batch contract every arrival
+source meets, trace replay round-trips, the Media and Hotel service
+graphs, bulk ledger accounting, the profile-aware hybrid drift guard,
+and the figW flash-crowd acceptance behaviors.
 """
 
 import math
@@ -14,10 +15,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.sim import Engine
 from repro.systems.cluster import ClusterSimulation, simulate
 from repro.systems.configs import UMANYCORE
 from repro.workloads import (
     ARRIVAL_NAMES,
+    BurstyProfile,
     ConstantProfile,
     FlashCrowdProfile,
     MmppProfile,
@@ -181,6 +184,40 @@ def test_replay_cluster_run_offers_exactly_the_trace():
                       arrivals=trace, check=check)
     assert result.offered == len(trace.times_ns)
     assert check.ok
+
+
+# ------------------------------------------------- sorted batch contract
+
+def _accepted_as_batch(times) -> None:
+    """``Engine.schedule_at_batch`` raises on any decreasing pair."""
+    times = list(times)
+    assert len(times) > 100
+    Engine().schedule_at_batch(times, lambda t: None, append_time=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("profile",
+                         [get_profile(n) for n in ARRIVAL_NAMES]
+                         + [BurstyProfile(window_s=0.007)],
+                         ids=list(ARRIVAL_NAMES) + ["bursty-7ms"])
+def test_profile_times_sorted_over_long_horizon(profile, seed):
+    """Every profile's arrivals are fed to the engine as one sorted
+    batch.  A 3 s horizon spans hundreds of bursty window seams (also at
+    an offset start and an inexact window width)."""
+    for start_ns in (0.0, 1.5e9):
+        _accepted_as_batch(profile.generate(
+            2_000, 3.0, np.random.default_rng(seed), start_ns=start_ns))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_replay_round_robin_slices_sorted(seed):
+    """Without an LB a replayed trace is dealt to servers as
+    ``times[i::n]`` slices; each slice is a sorted batch."""
+    trace = sample_alibaba_trace(0.05, 20_000.0, seed=seed)
+    times = trace.generate(99.0, 0.05, None)
+    for n in (2, 3, 4):
+        for i in range(n):
+            _accepted_as_batch(times[i::n].tolist())
 
 
 # ------------------------------------------------- Media / Hotel graphs
